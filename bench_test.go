@@ -25,7 +25,6 @@ import (
 	"testing"
 
 	"elpc"
-	"elpc/internal/adapt"
 	"elpc/internal/core"
 	"elpc/internal/fleet"
 	"elpc/internal/gen"
@@ -322,36 +321,6 @@ func BenchmarkWorkflowHEFT(b *testing.B) {
 			}
 			b.ReportMetric(makespan, "ms_makespan")
 		})
-	}
-}
-
-// BenchmarkAdaptEpoch measures one monitor-and-replan epoch of the
-// self-adaptive controller (probe + plan amortized out; epoch = simulate +
-// compare).
-func BenchmarkAdaptEpoch(b *testing.B) {
-	truth, err := gen.Network(20, 120, gen.DefaultRanges(), gen.RNG(77))
-	if err != nil {
-		b.Fatal(err)
-	}
-	pipe, err := gen.Pipeline(8, gen.DefaultRanges(), gen.RNG(78))
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := adapt.New(truth, pipe, 0, 19, adapt.Config{
-		Objective: model.MaxFrameRate,
-		Probe: measure.ProbeConfig{
-			Sizes:   measure.DefaultProbeSizes(),
-			Repeats: 2,
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Step(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

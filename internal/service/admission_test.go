@@ -192,14 +192,25 @@ func TestQueryParamValidation(t *testing.T) {
 }
 
 // TestUnknownFieldsRejected pins strict body validation on POST handlers.
+// The planning rows carry an otherwise valid problem plus the retired
+// allow_similar flag, so an old client's flag is refused, not ignored.
 func TestUnknownFieldsRejected(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	installFleetNetwork(t, ts.URL, fleetTestNetwork(t))
+
+	problem, err := json.Marshal(wireFor(buildSuiteProblem(t, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withSimilar := strings.TrimSuffix(string(problem), "}") + `,"allow_similar":true}`
 
 	for _, tc := range []struct{ url, body string }{
 		{"/v1/fleet/deploy", `{"tenant":"x","bogus_field":1}`},
 		{"/v1/fleet/deploy-batch", `{"requests":[],"bogus_field":1}`},
 		{"/v1/fleet/release", `{"id":"d-1","bogus_field":1}`},
+		{"/v1/mindelay", withSimilar},
+		{"/v1/maxframerate", withSimilar},
+		{"/v1/batch", `{"requests":[` + withSimilar + `]}`},
 	} {
 		resp, err := http.Post(ts.URL+tc.url, "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -27,63 +27,6 @@ type canonicalProblem struct {
 	Cost     model.CostOptions `json:"cost"`
 }
 
-// structuralHashVersion versions the similarity-tier key space independently
-// of the exact-solution key space.
-const structuralHashVersion = "elpc-structural-v1"
-
-// structuralLink is a link with its capacity stripped: endpoints and
-// propagation latency only (minimum link delay does not scale with load, so
-// it is structure, not capacity).
-type structuralLink struct {
-	From  model.NodeID `json:"f"`
-	To    model.NodeID `json:"t"`
-	MLDms float64      `json:"mld"`
-}
-
-// structuralProblem is the canonical serialization of everything about a
-// problem EXCEPT node powers and link bandwidths — the attributes residual
-// load and churn perturb. Two solves of the same deployment against
-// different residual snapshots share a structural hash.
-type structuralProblem struct {
-	Version  string            `json:"v"`
-	N        int               `json:"n"`
-	Links    []structuralLink  `json:"links"`
-	Pipeline *model.Pipeline   `json:"pipeline"`
-	Src      model.NodeID      `json:"src"`
-	Dst      model.NodeID      `json:"dst"`
-	Cost     model.CostOptions `json:"cost"`
-}
-
-// StructuralHash returns the capacity-independent canonical hash of the
-// problem: topology, propagation latencies, pipeline, endpoints, and cost
-// options, with node powers and link bandwidths excluded. It keys the
-// solution cache's similarity tier — a near-miss lookup that finds the
-// mapping solved for the same structural problem under different capacity
-// values, to be adapted by re-validating it on the current ones.
-func StructuralHash(p *model.Problem) (string, error) {
-	if p == nil || p.Net == nil || p.Pipe == nil {
-		return "", fmt.Errorf("service: structural hash of incomplete problem")
-	}
-	links := make([]structuralLink, len(p.Net.Links))
-	for i, l := range p.Net.Links {
-		links[i] = structuralLink{From: l.From, To: l.To, MLDms: l.MLDms}
-	}
-	h := sha256.New()
-	enc := json.NewEncoder(h)
-	if err := enc.Encode(structuralProblem{
-		Version:  structuralHashVersion,
-		N:        p.Net.N(),
-		Links:    links,
-		Pipeline: p.Pipe,
-		Src:      p.Src,
-		Dst:      p.Dst,
-		Cost:     p.Cost,
-	}); err != nil {
-		return "", fmt.Errorf("service: structural serialization: %w", err)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
 // Hash returns the canonical hash (hex SHA-256) of the problem instance:
 // network, pipeline, endpoints, and cost options. Mappers are deterministic
 // functions of exactly these inputs, so the hash is a sound solution-cache

@@ -67,6 +67,27 @@ func TestHashSurvivesJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHashGolden pins Hash, and so the cache key and the documented
+// problem_hash, to fixed values across builds: any change to the canonical
+// serialization or the elpc-problem-v1 format fails here.
+func TestHashGolden(t *testing.T) {
+	golden := map[int]string{ // Suite20 case ID -> hex SHA-256
+		1:  "fa4a791a24a5396f0cf17b45f9cb0a7ca4b209ea5962dfd335c0a4aa896e9abd",
+		4:  "83894add5d2f56d4269822a0af25085a495fe8e918b3fb604a41ca4d7e961a0c",
+		7:  "a6c998a9c8bc5a84f8004ddc8a35f45e7aaed760e35f200016f36e13080245e6",
+		11: "9bbf0b0a75130c9810130accc0ff91d6785e38abf3dcf7f2ab6b8991493abce8",
+	}
+	for id, want := range golden {
+		got, err := Hash(buildSuiteProblem(t, id-1))
+		if err != nil {
+			t.Fatalf("case %d: %v", id, err)
+		}
+		if got != want {
+			t.Errorf("case %d: Hash = %s, want %s", id, got, want)
+		}
+	}
+}
+
 func TestHashDiscriminates(t *testing.T) {
 	base := buildSuiteProblem(t, 0)
 	baseHash, err := Hash(base)

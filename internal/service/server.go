@@ -50,9 +50,6 @@ type wireRequest struct {
 	Op            Op      `json:"op,omitempty"`
 	DelayBudgetMs float64 `json:"delay_budget_ms,omitempty"`
 	Points        int     `json:"points,omitempty"`
-	// AllowSimilar opts into similarity-tier cache adaptations (the result
-	// carries "approximate": true when one is served).
-	AllowSimilar bool `json:"allow_similar,omitempty"`
 
 	// Simulation parameters (/v1/simulate only).
 	Frames int     `json:"frames,omitempty"`
@@ -79,7 +76,6 @@ func (w *wireRequest) request(op Op) (Request, error) {
 		},
 		DelayBudgetMs: w.DelayBudgetMs,
 		Points:        w.Points,
-		AllowSimilar:  w.AllowSimilar,
 	}, nil
 }
 

@@ -1,10 +1,9 @@
 // Package service turns the one-shot ELPC solvers into a long-running
 // concurrent planning service: a Solver that answers min-delay, max-frame-
 // rate, and rate–delay-front planning requests behind a bounded worker pool,
-// a sharded LRU solution cache keyed by a canonical problem hash so repeated
-// or near-identical requests never redo exponential work, and an HTTP/JSON
-// server (cmd/elpcd) exposing the solvers to any client — including the
-// measurement-driven adaptive controller — over /v1/* endpoints.
+// a sharded LRU solution cache keyed by a canonical problem hash so exact
+// repeats of a request never redo exponential work, and an HTTP/JSON server
+// (cmd/elpcd) exposing the solvers to any client over /v1/* endpoints.
 package service
 
 import (
@@ -150,15 +149,6 @@ type Request struct {
 	DelayBudgetMs float64
 	// Points is the OpFront sweep resolution; <= 0 uses Options.FrontPoints.
 	Points int
-	// AllowSimilar opts the request into the cache's similarity tier: on an
-	// exact-cache miss, a solution solved for the same structural problem
-	// (same topology, pipeline, endpoints, and cost options — different
-	// capacities) may be adapted and served without a DP solve, marked
-	// Result.Approximate. The adapted mapping is re-validated on the
-	// request's actual capacities first — it is never infeasible and never
-	// violates the delay budget — but it may be worse than what a fresh
-	// solve would find. OpFront never serves approximations.
-	AllowSimilar bool
 }
 
 // FrontPoint is one nondominated (delay, rate) point of a Pareto sweep.
@@ -188,10 +178,6 @@ type Result struct {
 	Front []FrontPoint `json:"front,omitempty"`
 	// Cached reports whether the solution came from the cache.
 	Cached bool `json:"cached"`
-	// Approximate reports that the mapping was adapted from the cache's
-	// similarity tier (Request.AllowSimilar): feasible and budget-respecting
-	// on this problem's capacities, but possibly not optimal for them.
-	Approximate bool `json:"approximate,omitempty"`
 	// SolveMs is the wall-clock solve time (0 for cache hits).
 	SolveMs float64 `json:"solve_ms"`
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -182,22 +181,6 @@ func (s *Solver) Solve(ctx context.Context, req Request) (*Result, error) {
 	sp.Annotate("miss")
 	sp.End()
 
-	// Similarity tier (opt-in): adapt the mapping solved for this structural
-	// problem under different capacities, if it re-validates on the current
-	// ones. OpFront sweeps are never adapted — a front is a set of mappings
-	// whose optimality claims cannot be re-validated pointwise.
-	if req.AllowSimilar && req.Op != OpFront {
-		sp = parent.Child("similarity_lookup")
-		if sol, ok := s.similarLookup(req, param); ok {
-			sp.Annotate("hit")
-			sp.End()
-			r := sol.result(req.Op, hash, true, 0)
-			r.Approximate = true
-			return r, nil
-		}
-		sp.End()
-	}
-
 	if s.opt.SolveTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.opt.SolveTimeout)
@@ -275,13 +258,6 @@ func (s *Solver) Solve(ctx context.Context, req Request) (*Result, error) {
 				h.Observe(elapsed.Seconds())
 			}
 			s.cache.put(key, sol)
-			// Feed the similarity tier so future capacity variants of this
-			// structural problem can adapt the mapping (opt-in lookups only).
-			if req.Op != OpFront {
-				if sh, herr := StructuralHash(req.Problem); herr == nil {
-					s.cache.simPut(cacheKey{hash: sh, op: req.Op, param: param}, sol)
-				}
-			}
 		}
 		s.finishFlight(key, f, sol, err)
 		done <- outcome{solveMs: float64(elapsed) / float64(time.Millisecond)}
@@ -299,80 +275,6 @@ func (s *Solver) Solve(ctx context.Context, req Request) (*Result, error) {
 		s.timeouts.Add(1)
 		return nil, fmt.Errorf("service: solve %s: %w", req.Op, ctx.Err())
 	}
-}
-
-// simMaxDelayMs rejects similarity adaptations routed through an effectively
-// saturated or down element: residual snapshots floor capacity at
-// model.MinResidualFraction, which inflates that element's compute/transfer
-// time by ~10^9 — finite, but only because the floor keeps the network
-// structurally valid. Any genuine pipeline delay is milliseconds to seconds;
-// anything past this threshold is the floor artifact, and a fresh solve
-// would route around it.
-const simMaxDelayMs = 1e6
-
-// similarLookup consults the similarity tier for a structurally identical
-// solved problem and re-validates its mapping on the request's actual
-// capacities. The adapted solution keeps the cached assignment but carries
-// metrics evaluated on THIS problem's network — it is feasible and
-// budget-respecting by construction, though possibly suboptimal. Returns
-// false (after counting a rejection) when the cached mapping does not
-// survive re-validation.
-func (s *Solver) similarLookup(req Request, param float64) (*solution, bool) {
-	structHash, err := StructuralHash(req.Problem)
-	if err != nil {
-		return nil, false
-	}
-	cached, ok := s.cache.simGet(cacheKey{hash: structHash, op: req.Op, param: param})
-	if !ok {
-		return nil, false
-	}
-	adapted, ok := adaptSolution(req, cached)
-	if !ok {
-		s.cache.noteSimReject()
-		return nil, false
-	}
-	return adapted, true
-}
-
-// adaptSolution re-validates a cached mapping against the request's problem
-// and re-prices it: same assignment, metrics recomputed on the request's
-// capacities. It refuses (ok=false) when the assignment does not fit the
-// pipeline, any metric is non-finite, the delay indicates a floored
-// (saturated/down) element on the path, or the OpMaxFrameRate delay budget
-// is violated.
-func adaptSolution(req Request, cached *solution) (*solution, bool) {
-	p := req.Problem
-	if len(cached.assignment) != p.Pipe.N() {
-		return nil, false
-	}
-	for _, v := range cached.assignment {
-		if !p.Net.ValidNode(v) {
-			return nil, false
-		}
-	}
-	m := model.NewMapping(cached.assignment)
-	delay := model.TotalDelay(p.Net, p.Pipe, m, p.Cost)
-	bottleneck := model.Bottleneck(p.Net, p.Pipe, m)
-	if m.UsesReuse() {
-		bottleneck = model.SharedBottleneck(p.Net, p.Pipe, m)
-	}
-	rate := model.FrameRate(bottleneck)
-	if math.IsInf(delay, 0) || math.IsNaN(delay) || delay < 0 || delay > simMaxDelayMs {
-		return nil, false
-	}
-	if math.IsInf(bottleneck, 0) || math.IsNaN(bottleneck) || bottleneck > simMaxDelayMs || rate <= 0 {
-		return nil, false
-	}
-	if req.Op == OpMaxFrameRate && req.DelayBudgetMs > 0 && delay > req.DelayBudgetMs {
-		return nil, false
-	}
-	return &solution{
-		assignment:   cached.assignment,
-		mapping:      cached.mapping,
-		delayMs:      delay,
-		bottleneckMs: bottleneck,
-		rateFPS:      rate,
-	}, true
 }
 
 // acquireSlot claims one worker slot (blocking on the pool, bounded by the
