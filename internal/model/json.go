@@ -6,24 +6,30 @@ import (
 	"io"
 )
 
-// networkJSON is the wire form of a Network.
-type networkJSON struct {
+// NetworkJSON is the wire form of a Network: the one JSON schema both
+// Network's codec and request bodies that embed a network decode. Decoding
+// into it does not validate; Build does.
+type NetworkJSON struct {
 	Nodes []Node `json:"nodes"`
 	Links []Link `json:"links"`
 }
 
+// Build validates the wire form into a Network (see NewNetwork). The
+// Network shares the wire form's slices.
+func (w *NetworkJSON) Build() (*Network, error) { return NewNetwork(w.Nodes, w.Links) }
+
 // MarshalJSON implements json.Marshaler.
 func (n *Network) MarshalJSON() ([]byte, error) {
-	return json.Marshal(networkJSON{Nodes: n.Nodes, Links: n.Links})
+	return json.Marshal(NetworkJSON{Nodes: n.Nodes, Links: n.Links})
 }
 
 // UnmarshalJSON implements json.Unmarshaler, revalidating the network.
 func (n *Network) UnmarshalJSON(data []byte) error {
-	var w networkJSON
+	var w NetworkJSON
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	built, err := NewNetwork(w.Nodes, w.Links)
+	built, err := w.Build()
 	if err != nil {
 		return err
 	}
@@ -31,23 +37,28 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// pipelineJSON is the wire form of a Pipeline.
-type pipelineJSON struct {
+// PipelineJSON is the wire form of a Pipeline, shared like NetworkJSON.
+// Decoding into it does not validate; Build does.
+type PipelineJSON struct {
 	Modules []Module `json:"modules"`
 }
 
+// Build validates the wire form into a Pipeline (see NewPipeline). The
+// Pipeline shares the wire form's slice.
+func (w *PipelineJSON) Build() (*Pipeline, error) { return NewPipeline(w.Modules) }
+
 // MarshalJSON implements json.Marshaler.
 func (p *Pipeline) MarshalJSON() ([]byte, error) {
-	return json.Marshal(pipelineJSON{Modules: p.Modules})
+	return json.Marshal(PipelineJSON{Modules: p.Modules})
 }
 
 // UnmarshalJSON implements json.Unmarshaler, revalidating the pipeline.
 func (p *Pipeline) UnmarshalJSON(data []byte) error {
-	var w pipelineJSON
+	var w PipelineJSON
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	built, err := NewPipeline(w.Modules)
+	built, err := w.Build()
 	if err != nil {
 		return err
 	}

@@ -193,7 +193,9 @@ func TestQueryParamValidation(t *testing.T) {
 
 // TestUnknownFieldsRejected pins strict body validation on POST handlers.
 // The planning rows carry an otherwise valid problem plus the retired
-// allow_similar flag, so an old client's flag is refused, not ignored.
+// allow_similar flag, so an old client's flag is refused, not ignored, or a
+// bogus field nested in the network, a link or a module, so strictness
+// reaches every depth of a planning body.
 func TestUnknownFieldsRejected(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	installFleetNetwork(t, ts.URL, fleetTestNetwork(t))
@@ -203,15 +205,45 @@ func TestUnknownFieldsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	withSimilar := strings.TrimSuffix(string(problem), "}") + `,"allow_similar":true}`
+	// nested returns the problem with a bogus field planted in the object
+	// pick selects: the network, a link, or a module.
+	nested := func(pick func(body map[string]any) map[string]any) string {
+		var body map[string]any
+		if err := json.Unmarshal(problem, &body); err != nil {
+			t.Fatal(err)
+		}
+		pick(body)["bogus"] = 1
+		out, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	field := func(v any, key string) any { return v.(map[string]any)[key] }
+	inNetwork := nested(func(b map[string]any) map[string]any { return b["network"].(map[string]any) })
+	inLink := nested(func(b map[string]any) map[string]any {
+		return field(b["network"], "links").([]any)[0].(map[string]any)
+	})
+	inModule := nested(func(b map[string]any) map[string]any {
+		return field(b["pipeline"], "modules").([]any)[0].(map[string]any)
+	})
 
-	for _, tc := range []struct{ url, body string }{
+	rows := []struct{ url, body string }{
 		{"/v1/fleet/deploy", `{"tenant":"x","bogus_field":1}`},
 		{"/v1/fleet/deploy-batch", `{"requests":[],"bogus_field":1}`},
 		{"/v1/fleet/release", `{"id":"d-1","bogus_field":1}`},
 		{"/v1/mindelay", withSimilar},
 		{"/v1/maxframerate", withSimilar},
 		{"/v1/batch", `{"requests":[` + withSimilar + `]}`},
-	} {
+	}
+	for _, body := range []string{inNetwork, inLink, inModule} {
+		rows = append(rows,
+			struct{ url, body string }{"/v1/mindelay", body},
+			struct{ url, body string }{"/v1/maxframerate", body},
+			struct{ url, body string }{"/v1/batch", `{"requests":[` + body + `]}`},
+		)
+	}
+	for _, tc := range rows {
 		resp, err := http.Post(ts.URL+tc.url, "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)

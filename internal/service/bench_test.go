@@ -1,8 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -105,4 +109,61 @@ func BenchmarkSolverCacheHitParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// hashSink keeps BenchmarkHash's result live so the call is not elided.
+var hashSink string
+
+// BenchmarkHash measures the canonical problem hash alone on Suite20 case
+// 11 (30 modules, 80 nodes, 2500 links): the per-request identity cost a
+// cache hit pays before its lookup.
+func BenchmarkHash(b *testing.B) {
+	p := buildSuiteProblem(b, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h, err := Hash(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		hashSink = h
+	}
+}
+
+// BenchmarkPlanHit measures a whole /v1/mindelay cache hit through the
+// server's handler (telemetry middleware included, no socket): body
+// decode and validation, canonical hash, cache lookup and response encode,
+// on the request bodies of Suite20 cases 4, 7 and 10.
+func BenchmarkPlanHit(b *testing.B) {
+	for _, id := range []int{4, 7, 10} {
+		b.Run(fmt.Sprintf("case=%d", id), func(b *testing.B) {
+			body, err := json.Marshal(wireFor(buildSuiteProblem(b, id-1)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv := NewServer(Options{})
+			defer srv.Close()
+			h := srv.Handler()
+			post := func() *httptest.ResponseRecorder {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/mindelay", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+				return rec
+			}
+			post() // the cold solve fills the cache
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				post()
+			}
+			b.StopTimer()
+			var res Result
+			if err := json.Unmarshal(post().Body.Bytes(), &res); err != nil || !res.Cached {
+				b.Fatalf("repeat request not a cache hit (cached=%v, err=%v)", res.Cached, err)
+			}
+		})
+	}
 }

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"elpc/internal/gen"
@@ -69,13 +71,13 @@ func TestHashSurvivesJSONRoundTrip(t *testing.T) {
 
 // TestHashGolden pins Hash, and so the cache key and the documented
 // problem_hash, to fixed values across builds: any change to the canonical
-// serialization or the elpc-problem-v1 format fails here.
+// serialization or the elpc-problem-v2 format fails here.
 func TestHashGolden(t *testing.T) {
 	golden := map[int]string{ // Suite20 case ID -> hex SHA-256
-		1:  "fa4a791a24a5396f0cf17b45f9cb0a7ca4b209ea5962dfd335c0a4aa896e9abd",
-		4:  "83894add5d2f56d4269822a0af25085a495fe8e918b3fb604a41ca4d7e961a0c",
-		7:  "a6c998a9c8bc5a84f8004ddc8a35f45e7aaed760e35f200016f36e13080245e6",
-		11: "9bbf0b0a75130c9810130accc0ff91d6785e38abf3dcf7f2ab6b8991493abce8",
+		1:  "c4ee3ebef7ea7d206491cc820cdafb04f9d07d162c06c92b42caf2b1f6b9ca10",
+		4:  "cf0aa79a468ab2789cb325f0794f142303dc77b68f67edede70494c2441f508a",
+		7:  "2c508436d26bb395adfc574c7cdbe9ab7ad15c1e1869098278e0514e9084f2d9",
+		11: "fb3a8ed58be10d898ecba2cd589d71d76f9dcc7fcaecc4b9b1a76e2e8effbdd6",
 	}
 	for id, want := range golden {
 		got, err := Hash(buildSuiteProblem(t, id-1))
@@ -124,5 +126,160 @@ func TestHashRejectsIncompleteProblem(t *testing.T) {
 	}
 	if _, err := Hash(&model.Problem{}); err == nil {
 		t.Error("Hash of empty problem succeeded")
+	}
+}
+
+// TestHashSingleFieldPerturbation checks that the identity covers every
+// field: on Suite20 cases 1-6, nudging any one node, link or module field
+// to its nearest different value, either endpoint, or the cost flag changes
+// the hash. Floats move by one ulp, so the encoding must keep every bit.
+func TestHashSingleFieldPerturbation(t *testing.T) {
+	up := func(v float64) float64 { return math.Nextafter(v, math.Inf(1)) }
+	for c := 0; c < 6; c++ {
+		p := buildSuiteProblem(t, c)
+		base, err := Hash(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perturbed := func(what string, i int) {
+			t.Helper()
+			h, err := Hash(p)
+			if err != nil {
+				t.Fatalf("case %d %s %d: %v", c+1, what, i, err)
+			}
+			if h == base {
+				t.Errorf("case %d: perturbing %s %d left the hash unchanged", c+1, what, i)
+			}
+		}
+		n := len(p.Net.Nodes)
+		for i := range p.Net.Nodes {
+			v, orig := &p.Net.Nodes[i], p.Net.Nodes[i]
+			v.ID++
+			perturbed("node id", i)
+			*v = orig
+			v.Name += "x"
+			perturbed("node name", i)
+			*v = orig
+			v.Power = up(v.Power)
+			perturbed("node power", i)
+			*v = orig
+		}
+		for i := range p.Net.Links {
+			l, orig := &p.Net.Links[i], p.Net.Links[i]
+			l.ID++
+			perturbed("link id", i)
+			*l = orig
+			l.From = (l.From + 1) % model.NodeID(n)
+			perturbed("link from", i)
+			*l = orig
+			l.To = (l.To + 1) % model.NodeID(n)
+			perturbed("link to", i)
+			*l = orig
+			l.BWMbps = up(l.BWMbps)
+			perturbed("link bw_mbps", i)
+			*l = orig
+			l.MLDms = up(l.MLDms)
+			perturbed("link mld_ms", i)
+			*l = orig
+		}
+		for i := range p.Pipe.Modules {
+			m, orig := &p.Pipe.Modules[i], p.Pipe.Modules[i]
+			m.ID++
+			perturbed("module id", i)
+			*m = orig
+			m.Name += "x"
+			perturbed("module name", i)
+			*m = orig
+			m.Complexity = up(m.Complexity)
+			perturbed("module complexity", i)
+			*m = orig
+			m.InBytes = up(m.InBytes)
+			perturbed("module in_bytes", i)
+			*m = orig
+			m.OutBytes = up(m.OutBytes)
+			perturbed("module out_bytes", i)
+			*m = orig
+		}
+		src, dst := p.Src, p.Dst
+		p.Src = (src + 1) % model.NodeID(n)
+		perturbed("src", 0)
+		p.Src = src
+		p.Dst = (dst + 1) % model.NodeID(n)
+		perturbed("dst", 0)
+		p.Dst = dst
+		p.Cost.IncludeMLDInDelay = !p.Cost.IncludeMLDInDelay
+		perturbed("cost flag", 0)
+		p.Cost.IncludeMLDInDelay = !p.Cost.IncludeMLDInDelay
+		if h, err := Hash(p); err != nil || h != base {
+			t.Fatalf("case %d: restored problem hashes %s (%v), want %s", c+1, h, err, base)
+		}
+	}
+}
+
+// TestHashNameBoundaries checks that name bytes cannot slide between
+// neighbouring names: each name is length-prefixed, so splitting the same
+// bytes differently gives a different problem and a different hash.
+func TestHashNameBoundaries(t *testing.T) {
+	withNames := func(a, b string, modules bool) string {
+		p := buildSuiteProblem(t, 0)
+		if modules {
+			p.Pipe.Modules[0].Name, p.Pipe.Modules[1].Name = a, b
+		} else {
+			p.Net.Nodes[0].Name, p.Net.Nodes[1].Name = a, b
+		}
+		h, err := Hash(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	// Without the length prefixes these two node lists would encode to the
+	// same bytes: a's first name holds b's first power, a's first power
+	// holds the next node's ID, and b's second name holds that ID again.
+	a, b := buildSuiteProblem(t, 0), buildSuiteProblem(t, 0)
+	var word [8]byte
+	binary.LittleEndian.PutUint64(word[:], math.Float64bits(5))
+	a.Net.Nodes[0].Name, a.Net.Nodes[0].Power, a.Net.Nodes[1].Name = string(word[:]), math.Float64frombits(1), ""
+	binary.LittleEndian.PutUint64(word[:], 1)
+	b.Net.Nodes[0].Name, b.Net.Nodes[0].Power, b.Net.Nodes[1].Name = "", 5, string(word[:])
+	ha, err := Hash(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, err := Hash(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ha == hb {
+		t.Error("names that absorb their neighbouring fields hash equal")
+	}
+	for _, modules := range []bool{false, true} {
+		if withNames("ab", "c", modules) == withNames("a", "bc", modules) {
+			t.Errorf("names ab/c and a/bc hash equal (modules=%v)", modules)
+		}
+		if withNames("", "abc", modules) == withNames("abc", "", modules) {
+			t.Errorf("names \"\"/abc and abc/\"\" hash equal (modules=%v)", modules)
+		}
+	}
+}
+
+// TestHashRejectsNonFinite checks that NaN and infinities, which
+// model.NewNetwork and model.NewPipeline partly let through, fail the hash
+// instead of producing a key.
+func TestHashRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(p *model.Problem, v float64){
+		"power":      func(p *model.Problem, v float64) { p.Net.Nodes[1].Power = v },
+		"bandwidth":  func(p *model.Problem, v float64) { p.Net.Links[2].BWMbps = v },
+		"mld":        func(p *model.Problem, v float64) { p.Net.Links[3].MLDms = v },
+		"complexity": func(p *model.Problem, v float64) { p.Pipe.Modules[1].Complexity = v },
+	}
+	for name, set := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := buildSuiteProblem(t, 0)
+			set(p, v)
+			if h, err := Hash(p); err == nil {
+				t.Errorf("%s = %v: Hash = %s, want an error", name, v, h)
+			}
+		}
 	}
 }

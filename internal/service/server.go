@@ -37,13 +37,15 @@ const (
 // wireRequest is the JSON body shared by every planning endpoint: the
 // problem instance (same shape as the CLI's instance files) plus the
 // operation parameters. Cost defaults to model.DefaultCostOptions when
-// omitted.
+// omitted. The network and pipeline decode into their plain wire forms, so
+// the whole body is decoded in one pass with unknown fields rejected at
+// every depth; request validates them.
 type wireRequest struct {
-	Network  *model.Network     `json:"network"`
-	Pipeline *model.Pipeline    `json:"pipeline"`
-	Src      model.NodeID       `json:"src"`
-	Dst      model.NodeID       `json:"dst"`
-	Cost     *model.CostOptions `json:"cost,omitempty"`
+	Network  *model.NetworkJSON  `json:"network"`
+	Pipeline *model.PipelineJSON `json:"pipeline"`
+	Src      model.NodeID        `json:"src"`
+	Dst      model.NodeID        `json:"dst"`
+	Cost     *model.CostOptions  `json:"cost,omitempty"`
 
 	// Op is honored by /v1/batch and /v1/simulate; the dedicated planning
 	// endpoints fix it.
@@ -56,10 +58,22 @@ type wireRequest struct {
 	PaceMs float64 `json:"pace_ms,omitempty"`
 }
 
-// request converts the wire form into a solver Request.
+// errIncomplete marks a request body without a network or pipeline.
+var errIncomplete = errors.New("request missing network or pipeline")
+
+// request validates the wire form (model.NewNetwork, model.NewPipeline) and
+// converts it into a solver Request.
 func (w *wireRequest) request(op Op) (Request, error) {
 	if w.Network == nil || w.Pipeline == nil {
-		return Request{}, fmt.Errorf("request missing network or pipeline")
+		return Request{}, errIncomplete
+	}
+	net, err := w.Network.Build()
+	if err != nil {
+		return Request{}, err
+	}
+	pipe, err := w.Pipeline.Build()
+	if err != nil {
+		return Request{}, err
 	}
 	cost := model.DefaultCostOptions()
 	if w.Cost != nil {
@@ -68,8 +82,8 @@ func (w *wireRequest) request(op Op) (Request, error) {
 	return Request{
 		Op: op,
 		Problem: &model.Problem{
-			Net:  w.Network,
-			Pipe: w.Pipeline,
+			Net:  net,
+			Pipe: pipe,
 			Src:  w.Src,
 			Dst:  w.Dst,
 			Cost: cost,
@@ -492,6 +506,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			op = OpMinDelay
 		}
 		reqs[i], errs[i] = body.Requests[i].request(op)
+		if errs[i] != nil && !errors.Is(errs[i], errIncomplete) {
+			// An invalid network or pipeline fails the whole body, as
+			// malformed JSON does; only a missing one is a per-item error.
+			writeError(w, fmt.Errorf("batch item %d: %w", i, errs[i]))
+			return
+		}
 	}
 	items := s.solver.SolveBatch(r.Context(), reqs)
 	out := make([]batchItemWire, len(items))

@@ -13,6 +13,7 @@ import (
 
 	"elpc/internal/core"
 	"elpc/internal/model"
+	"elpc/internal/service/wire"
 	"elpc/internal/sim"
 )
 
@@ -25,7 +26,12 @@ func newTestServer(t *testing.T, opt Options) (*Server, *httptest.Server) {
 }
 
 func wireFor(p *model.Problem) wireRequest {
-	return wireRequest{Network: p.Net, Pipeline: p.Pipe, Src: p.Src, Dst: p.Dst}
+	return wireRequest{
+		Network:  &model.NetworkJSON{Nodes: p.Net.Nodes, Links: p.Net.Links},
+		Pipeline: &model.PipelineJSON{Modules: p.Pipe.Modules},
+		Src:      p.Src,
+		Dst:      p.Dst,
+	}
 }
 
 func postJSON(t *testing.T, url string, body any, out any) *http.Response {
@@ -205,6 +211,34 @@ func TestServerBatchLimit(t *testing.T) {
 	}
 }
 
+// TestServerBatchInvalidItem pins that an item whose network or pipeline
+// fails validation rejects the whole batch as invalid_request, while a
+// missing one is a per-item error (TestServerBatch).
+func TestServerBatchInvalidItem(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	good := wireFor(buildSuiteProblem(t, 0))
+	bad := wireFor(buildSuiteProblem(t, 0))
+	links := append([]model.Link(nil), bad.Network.Links...)
+	links[0].BWMbps = -1
+	bad.Network = &model.NetworkJSON{Nodes: bad.Network.Nodes, Links: links}
+	body, err := json.Marshal(batchWire{Requests: []wireRequest{good, bad}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env wire.ErrorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != wire.CodeInvalidRequest {
+		t.Errorf("batch with an invalid network: status %d code %q, want 400 %q", resp.StatusCode, env.Error.Code, wire.CodeInvalidRequest)
+	}
+}
+
 func TestServerErrorStatuses(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 
@@ -233,7 +267,7 @@ func TestServerErrorStatuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	infeasible := wireRequest{Network: net, Pipeline: pipe, Src: 0, Dst: 1}
+	infeasible := wireFor(&model.Problem{Net: net, Pipe: pipe, Src: 0, Dst: 1})
 	resp2 := postJSON(t, ts.URL+"/v1/maxframerate", infeasible, nil)
 	if resp2.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("infeasible: status %d, want 422", resp2.StatusCode)

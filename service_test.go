@@ -132,3 +132,41 @@ func TestSolverEmbeddedBatch(t *testing.T) {
 		t.Errorf("cold solves = %d, want 3 distinct ops", st.ColdSolves)
 	}
 }
+
+// TestCanonicalProblemHashRejectsNonFinite checks that a problem holding a
+// NaN or infinite attribute has no canonical hash. NewNetwork accepts a NaN
+// power, so such a problem is reachable through the public API.
+func TestCanonicalProblemHashRejectsNonFinite(t *testing.T) {
+	nan, err := elpc.NewNetwork(
+		[]elpc.Node{{ID: 0, Power: math.NaN()}, {ID: 1, Power: 1}},
+		[]elpc.Link{{ID: 0, From: 0, To: 1, BWMbps: 1}},
+	)
+	if err != nil {
+		t.Fatalf("NewNetwork rejected a NaN power (%v); the case below is then only reachable by field writes", err)
+	}
+	p, err := elpc.BuildCase(elpc.SmallCase())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, err := elpc.CanonicalProblemHash(&elpc.Problem{Net: nan, Pipe: p.Pipe, Src: 0, Dst: 1}); err == nil {
+		t.Errorf("NaN power from NewNetwork: hash %s, want an error", h)
+	}
+	fields := map[string]func(p *elpc.Problem, v float64){
+		"power":      func(p *elpc.Problem, v float64) { p.Net.Nodes[0].Power = v },
+		"bandwidth":  func(p *elpc.Problem, v float64) { p.Net.Links[0].BWMbps = v },
+		"mld":        func(p *elpc.Problem, v float64) { p.Net.Links[0].MLDms = v },
+		"complexity": func(p *elpc.Problem, v float64) { p.Pipe.Modules[1].Complexity = v },
+	}
+	for name, set := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p, err := elpc.BuildCase(elpc.SmallCase())
+			if err != nil {
+				t.Fatal(err)
+			}
+			set(p, v)
+			if h, err := elpc.CanonicalProblemHash(p); err == nil {
+				t.Errorf("%s = %v: hash %s, want an error", name, v, h)
+			}
+		}
+	}
+}
