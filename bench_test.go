@@ -324,20 +324,18 @@ func BenchmarkWorkflowHEFT(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetDeploy measures multi-tenant placement throughput on a
-// Suite20-class network (case 8: 50 nodes, 1000 links): each op is one
-// admission-controlled Deploy — a residual-network snapshot, a solver run,
-// an SLO check, and a capacity reservation. When the network saturates the
-// fleet is drained (release cost amortizes into the loop). Metrics:
-// admitted fraction of attempts and mean deployments resident at admission.
-func BenchmarkFleetDeploy(b *testing.B) {
+// fleetBenchWorkload is the shared fleet benchmark workload: the Suite20
+// case-8 network (50 nodes, 1000 links) and 32 request variants of 5-8
+// modules between random endpoints, alternating objectives, each asking for
+// 2 fps.
+func fleetBenchWorkload(b *testing.B) (*model.Network, []fleet.Request) {
+	b.Helper()
 	spec := gen.Suite20()[7]
 	net, err := gen.Network(spec.Nodes, spec.Links, gen.DefaultRanges(), gen.RNG(spec.Seed))
 	if err != nil {
 		b.Fatal(err)
 	}
-	const variants = 32
-	reqs := make([]fleet.Request, variants)
+	reqs := make([]fleet.Request, 32)
 	for i := range reqs {
 		rng := gen.RNG(uint64(1000 + i))
 		pl, err := gen.Pipeline(5+i%4, gen.DefaultRanges(), rng)
@@ -361,6 +359,17 @@ func BenchmarkFleetDeploy(b *testing.B) {
 			SLO:       fleet.SLO{MinRateFPS: 2},
 		}
 	}
+	return net, reqs
+}
+
+// BenchmarkFleetDeploy measures multi-tenant placement throughput on a
+// Suite20-class network (case 8: 50 nodes, 1000 links): each op is one
+// admission-controlled Deploy — a residual-network snapshot, a solver run,
+// an SLO check, and a capacity reservation. When the network saturates the
+// fleet is drained (release cost amortizes into the loop). Metrics:
+// admitted fraction of attempts and mean deployments resident at admission.
+func BenchmarkFleetDeploy(b *testing.B) {
+	net, reqs := fleetBenchWorkload(b)
 	fl, err := fleet.New(net)
 	if err != nil {
 		b.Fatal(err)
@@ -369,7 +378,7 @@ func BenchmarkFleetDeploy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		resident += len(fl.List())
-		_, err := fl.Deploy(reqs[i%variants])
+		_, err := fl.Deploy(reqs[i%len(reqs)])
 		switch {
 		case err == nil:
 			admitted++
@@ -394,36 +403,7 @@ func BenchmarkFleetDeploy(b *testing.B) {
 // WAL tax on the acknowledgment path — group commit keeps fsyncs off it,
 // so the budget is < 10% (the CI recovery gate's companion number).
 func BenchmarkFleetDeployWAL(b *testing.B) {
-	spec := gen.Suite20()[7]
-	net, err := gen.Network(spec.Nodes, spec.Links, gen.DefaultRanges(), gen.RNG(spec.Seed))
-	if err != nil {
-		b.Fatal(err)
-	}
-	const variants = 32
-	reqs := make([]fleet.Request, variants)
-	for i := range reqs {
-		rng := gen.RNG(uint64(1000 + i))
-		pl, err := gen.Pipeline(5+i%4, gen.DefaultRanges(), rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		src := model.NodeID(rng.IntN(spec.Nodes))
-		dst := model.NodeID(rng.IntN(spec.Nodes - 1))
-		if dst >= src {
-			dst++
-		}
-		obj := model.MinDelay
-		if i%2 == 0 {
-			obj = model.MaxFrameRate
-		}
-		reqs[i] = fleet.Request{
-			Pipeline:  pl,
-			Src:       src,
-			Dst:       dst,
-			Objective: obj,
-			SLO:       fleet.SLO{MinRateFPS: 2},
-		}
-	}
+	net, reqs := fleetBenchWorkload(b)
 	fl, err := fleet.New(net)
 	if err != nil {
 		b.Fatal(err)
@@ -441,7 +421,7 @@ func BenchmarkFleetDeployWAL(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		resident += len(fl.List())
-		_, err := fl.Deploy(reqs[i%variants])
+		_, err := fl.Deploy(reqs[i%len(reqs)])
 		switch {
 		case err == nil:
 			admitted++
@@ -458,6 +438,37 @@ func BenchmarkFleetDeployWAL(b *testing.B) {
 	}
 	b.ReportMetric(float64(admitted)/float64(b.N), "admit_frac")
 	b.ReportMetric(float64(resident)/float64(b.N), "resident")
+}
+
+// BenchmarkSLOReport measures one SLO health evaluation of a saturated
+// fleet on the case-8 network: the fleet is filled with the
+// BenchmarkFleetDeploy workload up to its first rejection (the point where
+// that benchmark drains), and each op
+// re-scores every resident's placement with its own reservation excluded.
+// The service runs this report after every admitted deploy, batch, release
+// and churn batch, under the fleet lock. Metric: residents scored per op.
+func BenchmarkSLOReport(b *testing.B) {
+	net, reqs := fleetBenchWorkload(b)
+	fl, err := fleet.New(net)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		_, err := fl.Deploy(reqs[i%len(reqs)])
+		if errors.Is(err, fleet.ErrRejected) {
+			break
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rep fleet.SLOReport
+	for i := 0; i < b.N; i++ {
+		rep = fl.SLOReport()
+	}
+	b.ReportMetric(float64(rep.Evaluated), "resident")
 }
 
 // BenchmarkBatchDeploy measures burst admission throughput on the same

@@ -96,7 +96,8 @@ func run(minSeries int, verbose bool) error {
 	}
 	for _, family := range []string{
 		"elpc_slo_evaluated", "elpc_slo_compliant", "elpc_slo_violating",
-		"elpc_slo_burn_rate", "elpc_journal_depth", "elpc_journal_events_total",
+		"elpc_slo_burn_rate", "elpc_slo_evaluate_seconds",
+		"elpc_journal_depth", "elpc_journal_events_total",
 		"elpc_admission_queued_total", "elpc_admission_shed_total",
 		"elpc_admission_preempted_total", "elpc_admission_queue_depth",
 		"elpc_wal_appends_total", "elpc_wal_fsyncs_total",

@@ -645,10 +645,8 @@ func (f *Fleet) tryAdmitLocked(req Request, cost model.CostOptions) (Deployment,
 	// mapping with a hostless module must never be admitted; this is the
 	// admission-side twin of the Repair/Rebalance down-node guards, so
 	// repair, rebalance, requeue, and deploy agree.
-	for _, v := range m.Assign {
-		if f.residual.NodeIsDown(v) {
-			return Deployment{}, fmt.Sprintf("no feasible placement: node v%d is down", v), nil
-		}
+	if v, down := f.residual.DownNode(m.Assign); down {
+		return Deployment{}, fmt.Sprintf("no feasible placement: node v%d is down", v), nil
 	}
 	if req.SLO.MaxDelayMs > 0 && delay > req.SLO.MaxDelayMs {
 		return Deployment{}, fmt.Sprintf("delay %.3f ms exceeds SLO %.3f ms", delay, req.SLO.MaxDelayMs), nil
@@ -1279,15 +1277,8 @@ func (f *Fleet) rebalanceLocked(opt RebalanceOptions) Report {
 		// source/sink) reserves nothing there, so the capacity guards
 		// alone would let a hostless mapping commit. Deploy and Repair
 		// carry the same guard.
-		downNode := -1
-		for _, v := range m.Assign {
-			if f.residual.NodeIsDown(v) {
-				downNode = int(v)
-				break
-			}
-		}
-		if downNode >= 0 {
-			restore(fmt.Sprintf("proposed mapping uses down node v%d", downNode))
+		if v, down := f.residual.DownNode(m.Assign); down {
+			restore(fmt.Sprintf("proposed mapping uses down node v%d", v))
 			continue
 		}
 		// Score the proposed mapping on the live freed snapshot. In the

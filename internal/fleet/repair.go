@@ -146,13 +146,8 @@ func (f *Fleet) placementScoreLocked(d *Deployment, snap *model.Network, saved m
 	// A mapping using a down node is broken even when the cost model says
 	// it reserves nothing there (zero-complexity sources and sinks): the
 	// module has no host.
-	if valid {
-		for _, v := range d.Assignment {
-			if f.residual.NodeIsDown(v) {
-				valid = false
-				break
-			}
-		}
+	if _, down := f.residual.DownNode(d.Assignment); down {
+		valid = false
 	}
 	return delay, rate, valid
 }
@@ -375,15 +370,8 @@ func (f *Fleet) repairLocked(ids []string, opt RepairOptions) RepairReport {
 		// or sink, in particular) through a down node, because the cost
 		// model prices them at zero there; such a mapping has a hostless
 		// module and cannot be applied.
-		downNode := -1
-		for _, v := range m.Assign {
-			if f.residual.NodeIsDown(v) {
-				downNode = int(v)
-				break
-			}
-		}
-		if downNode >= 0 {
-			park(fmt.Sprintf("no feasible placement: node v%d is down", downNode))
+		if v, down := f.residual.DownNode(m.Assign); down {
+			park(fmt.Sprintf("no feasible placement: node v%d is down", v))
 			continue
 		}
 		newDelay := model.TotalDelay(snap, d.pipe, m, d.cost)

@@ -559,16 +559,9 @@ func (s *ShardedFleet) deployCrossLocked(req Request, fallback bool, cost model.
 		s.lockShards()
 		live := s.composedLocked()
 		snap := live.Snapshot()
-		down := -1
-		for _, v := range m.Assign {
-			if live.NodeIsDown(v) {
-				down = int(v)
-				break
-			}
-		}
-		if down >= 0 {
+		if v, down := live.DownNode(m.Assign); down {
 			s.unlockShards()
-			return Deployment{}, s.rejectCross(req, "no feasible placement: node v%d is down", down)
+			return Deployment{}, s.rejectCross(req, "no feasible placement: node v%d is down", v)
 		}
 		delay := model.TotalDelay(snap, req.Pipeline, m, cost)
 		rate := model.FrameRate(model.SharedBottleneck(snap, req.Pipeline, m))
@@ -1167,13 +1160,8 @@ func (s *ShardedFleet) repairCrossLocked(ids []string) RepairReport {
 			!math.IsInf(delay, 1) &&
 			(d.SLO.MaxDelayMs <= 0 || delay <= d.SLO.MaxDelayMs) &&
 			rate >= d.ReservedFPS
-		if valid {
-			for _, v := range d.Assignment {
-				if comp.NodeIsDown(v) {
-					valid = false
-					break
-				}
-			}
+		if _, down := comp.DownNode(d.Assignment); down {
+			valid = false
 		}
 		if valid {
 			s.rebuildCrossLocked("")
@@ -1208,15 +1196,8 @@ func (s *ShardedFleet) repairCrossLocked(ids []string) RepairReport {
 			park(fmt.Sprintf("re-solve failed: %v", err))
 			continue
 		}
-		down := -1
-		for _, v := range nm.Assign {
-			if comp.NodeIsDown(v) {
-				down = int(v)
-				break
-			}
-		}
-		if down >= 0 {
-			park(fmt.Sprintf("no feasible placement: node v%d is down", down))
+		if v, down := comp.DownNode(nm.Assign); down {
+			park(fmt.Sprintf("no feasible placement: node v%d is down", v))
 			continue
 		}
 		newDelay := model.TotalDelay(snap, d.pipe, nm, d.cost)

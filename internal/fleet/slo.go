@@ -11,8 +11,11 @@ import (
 // re-evaluates every live deployment's delivered delay and sustainable rate
 // on the *current* residual network — the network as churn has left it, not
 // as admission saw it — and compares them against the deployment's admission
-// SLO. The service layer runs a report after every churn batch, repair, and
-// rebalance pass and folds the result into /v1/health and the elpc_slo_*
+// SLO. Each deployment is scored over its own path (ResidualNetwork.
+// ScoreWithout), so a report costs O(deployments × modules). The service
+// layer runs a report after every admitted deploy, deploy batch, release,
+// churn batch (with its repair) and rebalance pass, and on each
+// GET /v1/health; it folds the result into /v1/health and the elpc_slo_*
 // metric families.
 
 // SLOStatus is one deployment's compliance verdict.
@@ -78,7 +81,7 @@ func (r SLOReport) ViolatingTenants() []string {
 }
 
 // sloStatusOf scores one deployment on the residual view r: the current
-// mapping is re-evaluated on a snapshot with the deployment's own
+// mapping is re-evaluated over its own path with the deployment's own
 // reservation excluded (the network as this tenant sees it), so a compliant
 // verdict means the admission placement still delivers its SLO on the
 // churned network. Caller must serialize access to r.
@@ -90,23 +93,20 @@ func sloStatusOf(r *model.ResidualNetwork, d *Deployment, shard string) SLOStatu
 		MaxDelayMs:  d.SLO.MaxDelayMs,
 		ReservedFPS: d.ReservedFPS,
 	}
-	for _, v := range d.Assignment {
-		if r.NodeIsDown(v) {
-			st.DelayMs = math.Inf(1)
-			st.Reason = fmt.Sprintf("node v%d hosting a module is down", v)
-			return st
-		}
+	if v, down := r.DownNode(d.Assignment); down {
+		st.DelayMs = math.Inf(1)
+		st.Reason = fmt.Sprintf("node v%d hosting a module is down", v)
+		return st
 	}
-	snap, err := r.SnapshotWithout(d.reservation)
+	delay, period, err := r.ScoreWithout(d.reservation, d.pipe, &model.Mapping{Assign: d.Assignment}, d.cost)
 	if err != nil {
 		// Reservations are shaped by the fleet against the same base
 		// network; a mismatch means corrupted state, not a user error.
 		st.Reason = fmt.Sprintf("unscorable: %v", err)
 		return st
 	}
-	m := model.NewMapping(d.Assignment)
-	st.DelayMs = model.TotalDelay(snap, d.pipe, m, d.cost)
-	st.RateFPS = model.FrameRate(model.SharedBottleneck(snap, d.pipe, m))
+	st.DelayMs = delay
+	st.RateFPS = model.FrameRate(period)
 	switch {
 	case math.IsInf(st.DelayMs, 1):
 		st.Reason = "mapping traverses an unusable path"
@@ -125,7 +125,7 @@ func sloStatusOf(r *model.ResidualNetwork, d *Deployment, shard string) SLOStatu
 func (f *Fleet) SLOReport() SLOReport {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var rep SLOReport
+	rep := SLOReport{Statuses: make([]SLOStatus, 0, len(f.order))}
 	for _, id := range f.order {
 		rep.add(sloStatusOf(f.residual, f.deps[id], shardLabel(f.idPrefix)))
 	}
@@ -145,7 +145,11 @@ func (s *ShardedFleet) SLOReport() SLOReport {
 	s.lockShards()
 	defer s.unlockShards()
 	comp := s.composedLocked()
-	var rep SLOReport
+	n := len(s.crossOrder)
+	for _, sh := range s.shards {
+		n += len(sh.order)
+	}
+	rep := SLOReport{Statuses: make([]SLOStatus, 0, n)}
 	for _, sh := range s.shards {
 		for _, id := range sh.order {
 			rep.add(sloStatusOf(comp, sh.deps[id], shardLabel(sh.idPrefix)))

@@ -2,6 +2,9 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -256,5 +259,180 @@ func TestJournalUnderConcurrentFleetOps(t *testing.T) {
 	}
 	if uint64(len(evs))+st.Dropped != st.LastSeq {
 		t.Fatalf("accounting: %d retained + %d dropped != %d appended", len(evs), st.Dropped, st.LastSeq)
+	}
+}
+
+// snapshotSLOStatus is sloStatusOf as it was before scoring over the
+// placement's path: it materializes every node and link of r with d's
+// reservation excluded, then scores the mapping on that copy.
+func snapshotSLOStatus(t *testing.T, r *model.ResidualNetwork, d *Deployment, shard string) SLOStatus {
+	t.Helper()
+	st := SLOStatus{
+		ID:          d.ID,
+		Tenant:      d.Tenant,
+		Shard:       shard,
+		MaxDelayMs:  d.SLO.MaxDelayMs,
+		ReservedFPS: d.ReservedFPS,
+	}
+	for _, v := range d.Assignment {
+		if r.NodeIsDown(v) {
+			st.DelayMs = math.Inf(1)
+			st.Reason = fmt.Sprintf("node v%d hosting a module is down", v)
+			return st
+		}
+	}
+	frac := func(capFactor, load float64) float64 {
+		return math.Min(math.Max(capFactor-load, model.MinResidualFraction), 1)
+	}
+	base := r.Base()
+	nodes := append([]model.Node(nil), base.Nodes...)
+	for i := range nodes {
+		v := model.NodeID(i)
+		nodes[i].Power = base.Nodes[i].Power * frac(r.NodeCapacity(v), r.NodeLoad(v)-d.reservation.NodeFrac[i])
+	}
+	links := append([]model.Link(nil), base.Links...)
+	for i := range links {
+		links[i].BWMbps = base.Links[i].BWMbps * frac(r.LinkCapacity(i), r.LinkLoad(i)-d.reservation.LinkFrac[i])
+	}
+	snap, err := model.NewNetwork(nodes, links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := model.NewMapping(d.Assignment)
+	st.DelayMs = model.TotalDelay(snap, d.pipe, m, d.cost)
+	st.RateFPS = model.FrameRate(model.SharedBottleneck(snap, d.pipe, m))
+	switch {
+	case math.IsInf(st.DelayMs, 1):
+		st.Reason = "mapping traverses an unusable path"
+	case d.SLO.MaxDelayMs > 0 && st.DelayMs > d.SLO.MaxDelayMs:
+		st.Reason = fmt.Sprintf("delay %.3f ms exceeds SLO %.3f ms", st.DelayMs, d.SLO.MaxDelayMs)
+	case st.RateFPS < d.ReservedFPS:
+		st.Reason = fmt.Sprintf("sustainable rate %.3f fps below reserved %.3f fps", st.RateFPS, d.ReservedFPS)
+	default:
+		st.Compliant = true
+	}
+	return st
+}
+
+// saturateAndChurn deploys varied pipelines until the network refuses
+// twenty, then applies churn without repairing it: drifted nodes, degraded
+// links and one failed node, so residents are scored on overcommitted and
+// down elements.
+func saturateAndChurn(t *testing.T, m Manager) {
+	t.Helper()
+	n := m.Network().N()
+	rejected := 0
+	for i := 0; rejected < 20 && i < 400; i++ {
+		src, dst := model.NodeID(i%n), model.NodeID((3*i+1)%n)
+		if src == dst {
+			continue
+		}
+		obj := model.MinDelay
+		if i%2 == 1 {
+			obj = model.MaxFrameRate
+		}
+		slo := SLO{MinRateFPS: float64(1 + i%3)}
+		if i%4 == 0 {
+			slo.MaxDelayMs = 400
+		}
+		_, err := m.Deploy(Request{
+			Tenant: fmt.Sprintf("t%d", i%7), Pipeline: testPipeline(t, 4+i%4, uint64(500+i)),
+			Src: src, Dst: dst, Objective: obj, SLO: slo,
+		})
+		switch {
+		case errors.Is(err, ErrRejected):
+			rejected++
+		case err != nil:
+			t.Fatal(err)
+		}
+	}
+	if rejected < 20 {
+		t.Fatalf("fleet did not saturate: %d rejections", rejected)
+	}
+	var events []model.ChurnEvent
+	for v := 0; v < n; v += 3 {
+		events = append(events, model.ChurnEvent{Kind: model.CapacityDrift, Node: model.NodeID(v), Factor: 0.4})
+	}
+	for l := 0; l < m.Network().M(); l += 5 {
+		events = append(events, model.ChurnEvent{Kind: model.LinkDegrade, Link: l, Factor: 0.2})
+	}
+	events = append(events, model.ChurnEvent{Kind: model.NodeDown, Node: 4})
+	if err := m.ApplyChurn(events); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkReport compares a live report with the snapshot-scored reference and
+// checks the fixture exercised both verdicts.
+func checkReport(t *testing.T, got, want SLOReport) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		for i := range want.Statuses {
+			if i < len(got.Statuses) && got.Statuses[i] != want.Statuses[i] {
+				t.Errorf("status %d: got %+v, want %+v", i, got.Statuses[i], want.Statuses[i])
+			}
+		}
+		t.Fatalf("report differs from snapshot scoring: %d/%d/%d statuses vs %d/%d/%d",
+			got.Evaluated, got.Compliant, got.Violating, want.Evaluated, want.Compliant, want.Violating)
+	}
+	t.Logf("%d residents: %d compliant, %d violating", got.Evaluated, got.Compliant, got.Violating)
+	if got.Compliant == 0 || got.Violating == 0 {
+		t.Fatalf("fixture too weak: %d compliant, %d violating", got.Compliant, got.Violating)
+	}
+}
+
+// referenceReport scores the given deployments of one residual view the
+// old way, in order.
+func referenceReport(t *testing.T, rep *SLOReport, r *model.ResidualNetwork, deps map[string]*Deployment, order []string, shard string) {
+	t.Helper()
+	for _, id := range order {
+		rep.add(snapshotSLOStatus(t, r, deps[id], shard))
+	}
+}
+
+// TestSLOReportMatchesSnapshotScoring pins SLOReport, scored over each
+// placement's own path, to the full-snapshot scoring it replaced: on a
+// saturated, churned fleet the whole report must be deep-equal (every
+// float bit for bit, every verdict and reason) for a plain fleet, a K=1
+// sharded fleet, and a K=3 sharded fleet whose cross-region deployments
+// are scored on the composed view.
+func TestSLOReportMatchesSnapshotScoring(t *testing.T) {
+	t.Run("plain", func(t *testing.T) {
+		f, err := New(testNetwork(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		saturateAndChurn(t, f)
+		var want SLOReport
+		f.mu.Lock()
+		referenceReport(t, &want, f.residual, f.deps, f.order, "main")
+		f.mu.Unlock()
+		checkReport(t, f.SLOReport(), want)
+	})
+	for _, k := range []int{1, 3} {
+		t.Run(fmt.Sprintf("sharded-k%d", k), func(t *testing.T) {
+			s, err := NewSharded(testNetwork(t), k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			saturateAndChurn(t, s)
+			var want SLOReport
+			s.cmu.Lock()
+			s.lockShards()
+			r := s.shards[0].residual
+			if k > 1 {
+				r = s.composedLocked()
+				if len(s.crossOrder) == 0 {
+					t.Fatal("no cross-region deployments to score")
+				}
+			}
+			for _, sh := range s.shards {
+				referenceReport(t, &want, r, sh.deps, sh.order, shardLabel(sh.idPrefix))
+			}
+			referenceReport(t, &want, r, s.crossDeps, s.crossOrder, "x")
+			s.unlockShards()
+			s.cmu.Unlock()
+			checkReport(t, s.SLOReport(), want)
+		})
 	}
 }

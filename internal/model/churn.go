@@ -214,3 +214,14 @@ func (r *ResidualNetwork) LinkCapacity(id int) float64 { return r.linkCap[id] }
 
 // NodeIsDown reports whether node v is failed (capacity factor zero).
 func (r *ResidualNetwork) NodeIsDown(v NodeID) bool { return r.nodeCap[v] == 0 }
+
+// DownNode returns the first node of assign that is down, if any: a module
+// placed there has no host, whatever the cost model prices it at.
+func (r *ResidualNetwork) DownNode(assign []NodeID) (NodeID, bool) {
+	for _, v := range assign {
+		if r.NodeIsDown(v) {
+			return v, true
+		}
+	}
+	return 0, false
+}

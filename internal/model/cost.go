@@ -27,22 +27,8 @@ func DefaultCostOptions() CostOptions {
 // transfers are free (same node). The mapping is assumed structurally valid;
 // a missing link between consecutive groups yields +Inf.
 func TotalDelay(net *Network, pl *Pipeline, m *Mapping, opt CostOptions) float64 {
-	groups := m.Groups()
-	total := 0.0
-	for gi, g := range groups {
-		power := net.Power(g.Node)
-		for j := g.First; j <= g.Last; j++ {
-			total += pl.ComputeTime(j, power)
-		}
-		if gi+1 < len(groups) {
-			link, ok := net.LinkBetween(g.Node, groups[gi+1].Node)
-			if !ok {
-				return math.Inf(1)
-			}
-			total += link.TransferTime(pl.OutBytes(g.Last), opt.IncludeMLDInDelay)
-		}
-	}
-	return total
+	delay, _ := pathCost(net, pl, m, opt, nil, nil)
+	return delay
 }
 
 // Bottleneck evaluates Eq. 2: the time of the slowest stage of the mapped
@@ -84,34 +70,69 @@ func Bottleneck(net *Network, pl *Pipeline, m *Mapping) float64 {
 // frame, and the sustainable period is the maximum total occupancy. For
 // reuse-free mappings it equals Bottleneck.
 func SharedBottleneck(net *Network, pl *Pipeline, m *Mapping) float64 {
-	groups := m.Groups()
-	nodeBusy := make(map[NodeID]float64)
-	linkBusy := make(map[int]float64)
-	for gi, g := range groups {
-		power := net.Power(g.Node)
-		for j := g.First; j <= g.Last; j++ {
-			nodeBusy[g.Node] += pl.ComputeTime(j, power)
-		}
-		if gi+1 < len(groups) {
-			link, ok := net.LinkBetween(g.Node, groups[gi+1].Node)
-			if !ok {
-				return math.Inf(1)
+	_, period := pathCost(net, pl, m, CostOptions{}, nil, nil)
+	return period
+}
+
+// busyTime is one physical resource's per-frame occupancy in pathCost.
+type busyTime struct {
+	link bool // id is a link ID, else a node ID
+	id   int
+	ms   float64
+}
+
+// pathCost evaluates Eq. 1 and the shared-resource Eq. 2 over the modules
+// of m in order, reading only the nodes and links the mapping touches. With
+// r non-nil, each touched node's power and link's bandwidth is scaled by its
+// residual fraction with exclude's share of the load removed: the same
+// product snapshotExcluding stores, so the results are bit-identical to
+// scoring that snapshot without materializing it. Each resource's busy time
+// accumulates in visit order, in a stack slice for typical pipelines. A
+// missing link yields +Inf for both.
+func pathCost(net *Network, pl *Pipeline, m *Mapping, opt CostOptions, r *ResidualNetwork, exclude *Reservation) (delay, period float64) {
+	var buf [16]busyTime
+	busy := buf[:0]
+	slot := func(link bool, id int) int {
+		for i := range busy {
+			if busy[i].link == link && busy[i].id == id {
+				return i
 			}
-			linkBusy[link.ID] += link.TransferTime(pl.OutBytes(g.Last), false)
+		}
+		busy = append(busy, busyTime{link: link, id: id})
+		return len(busy) - 1
+	}
+	for j := 0; j < len(m.Assign); {
+		v := m.Assign[j]
+		power := net.Power(v)
+		if r != nil {
+			power *= residualFraction(r.nodeCap[v], r.nodeLoad[v]-exclude.NodeFrac[v])
+		}
+		node := slot(false, int(v))
+		for ; j < len(m.Assign) && m.Assign[j] == v; j++ {
+			t := pl.ComputeTime(j, power)
+			delay += t
+			busy[node].ms += t
+		}
+		if j == len(m.Assign) {
+			break
+		}
+		link, ok := net.LinkBetween(v, m.Assign[j])
+		if !ok {
+			return math.Inf(1), math.Inf(1)
+		}
+		if r != nil {
+			link.BWMbps *= residualFraction(r.linkCap[link.ID], r.linkLoad[link.ID]-exclude.LinkFrac[link.ID])
+		}
+		out := pl.OutBytes(j - 1)
+		delay += link.TransferTime(out, opt.IncludeMLDInDelay)
+		busy[slot(true, link.ID)].ms += link.TransferTime(out, false)
+	}
+	for _, b := range busy {
+		if b.ms > period {
+			period = b.ms
 		}
 	}
-	worst := 0.0
-	for _, t := range nodeBusy {
-		if t > worst {
-			worst = t
-		}
-	}
-	for _, t := range linkBusy {
-		if t > worst {
-			worst = t
-		}
-	}
-	return worst
+	return delay, period
 }
 
 // FrameRate converts a bottleneck period in ms to frames per second.

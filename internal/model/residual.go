@@ -269,7 +269,7 @@ func (r *ResidualNetwork) LinkResidual(id int) float64 {
 // The snapshot shares no state with the residual view; solvers may use it
 // freely while the view keeps changing.
 func (r *ResidualNetwork) Snapshot() *Network {
-	return r.snapshotExcluding(nil)
+	return r.snapshotExcluding(nil, nil)
 }
 
 // SnapshotInto is Snapshot materializing into buf's backing arrays when buf
@@ -279,56 +279,56 @@ func (r *ResidualNetwork) Snapshot() *Network {
 // internal/core.WarmState double-buffers its snapshots for exactly this.
 // A nil or mismatched buf falls back to a fresh Snapshot.
 func (r *ResidualNetwork) SnapshotInto(buf *Network) *Network {
-	if buf == nil || len(buf.Nodes) != len(r.base.Nodes) ||
-		len(buf.Links) != len(r.base.Links) || buf.topo != r.base.topo {
-		return r.snapshotExcluding(nil)
+	if buf != nil && (len(buf.Nodes) != len(r.base.Nodes) ||
+		len(buf.Links) != len(r.base.Links) || buf.topo != r.base.topo) {
+		buf = nil
+	}
+	return r.snapshotExcluding(buf, nil)
+}
+
+// ScoreWithout scores a placement as the deployment holding res sees the
+// network: its Eq. 1 delay and shared Eq. 2 bottleneck period (TotalDelay,
+// SharedBottleneck) with res subtracted from the outstanding load. Only the
+// nodes and links m touches are read, scaled exactly as snapshotExcluding
+// scales them, so the scores equal those on a materialized snapshot bit for
+// bit at O(modules) cost, without mutating the shared view. A missing link
+// yields +Inf for both.
+func (r *ResidualNetwork) ScoreWithout(res Reservation, pl *Pipeline, m *Mapping, cost CostOptions) (delayMs, bottleneckMs float64, err error) {
+	if err := r.checkShape(res); err != nil {
+		return 0, 0, err
+	}
+	delayMs, bottleneckMs = pathCost(r.base, pl, m, cost, r, &res)
+	return delayMs, bottleneckMs, nil
+}
+
+// snapshotExcluding is the shared materialization, into buf's arrays when
+// buf is non-nil (SnapshotInto has checked its shape): exclude, when
+// non-nil, is subtracted from each element's load before the residual
+// fraction is computed (the fraction clamp bounds the result even if the
+// exclusion exceeds the recorded load).
+func (r *ResidualNetwork) snapshotExcluding(buf *Network, exclude *Reservation) *Network {
+	if buf == nil {
+		// The base was validated and scaling preserves positivity and
+		// endpoints, so the base topology index describes the snapshot
+		// exactly; reusing it skips the O(links) graph rebuild that used to
+		// dominate repair time.
+		buf = sharedTopoNetwork(make([]Node, len(r.base.Nodes)), make([]Link, len(r.base.Links)), r.base.topo)
 	}
 	copy(buf.Nodes, r.base.Nodes)
 	for i := range buf.Nodes {
-		buf.Nodes[i].Power = r.base.Nodes[i].Power * residualFraction(r.nodeCap[i], r.nodeLoad[i])
-	}
-	copy(buf.Links, r.base.Links)
-	for i := range buf.Links {
-		buf.Links[i].BWMbps = r.base.Links[i].BWMbps * residualFraction(r.linkCap[i], r.linkLoad[i])
-	}
-	return buf
-}
-
-// SnapshotWithout materializes the residual view with the given reservation
-// subtracted from the outstanding load first — the network as one
-// deployment sees it when its own reservation is excluded. SLO evaluation
-// uses it to re-score every live placement in O(nodes + links) per
-// deployment, without mutating the shared view or cloning it per candidate.
-func (r *ResidualNetwork) SnapshotWithout(res Reservation) (*Network, error) {
-	if err := r.checkShape(res); err != nil {
-		return nil, err
-	}
-	return r.snapshotExcluding(&res), nil
-}
-
-// snapshotExcluding is the shared materialization: exclude, when non-nil,
-// is subtracted from each element's load before the residual fraction is
-// computed (the fraction clamp bounds the result even if the exclusion
-// exceeds the recorded load).
-func (r *ResidualNetwork) snapshotExcluding(exclude *Reservation) *Network {
-	nodes := append([]Node(nil), r.base.Nodes...)
-	for i := range nodes {
 		load := r.nodeLoad[i]
 		if exclude != nil {
 			load -= exclude.NodeFrac[i]
 		}
-		nodes[i].Power = r.base.Nodes[i].Power * residualFraction(r.nodeCap[i], load)
+		buf.Nodes[i].Power = r.base.Nodes[i].Power * residualFraction(r.nodeCap[i], load)
 	}
-	links := append([]Link(nil), r.base.Links...)
-	for i := range links {
+	copy(buf.Links, r.base.Links)
+	for i := range buf.Links {
 		load := r.linkLoad[i]
 		if exclude != nil {
 			load -= exclude.LinkFrac[i]
 		}
-		links[i].BWMbps = r.base.Links[i].BWMbps * residualFraction(r.linkCap[i], load)
+		buf.Links[i].BWMbps = r.base.Links[i].BWMbps * residualFraction(r.linkCap[i], load)
 	}
-	// The base was validated and scaling preserves positivity and endpoints,
-	// so the base topology index describes the snapshot exactly; reusing it
-	// skips the O(links) graph rebuild that used to dominate repair time.
-	return sharedTopoNetwork(nodes, links, r.base.topo)
+	return buf
 }

@@ -243,6 +243,51 @@ func TestUnknownFieldsRejected(t *testing.T) {
 			struct{ url, body string }{"/v1/batch", `{"requests":[` + body + `]}`},
 		)
 	}
+	// Fleet bodies get the same nested rows: a bogus field in the network,
+	// a node or a link of an install, and in the pipeline or a module of a
+	// deploy or of a deploy-batch element. Each body is accepted without
+	// the bogus field (checked last: an install is refused while
+	// deployments are outstanding, so the network rows run first).
+	plant := func(v any, path ...any) string {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var root any
+		if err := json.Unmarshal(raw, &root); err != nil {
+			t.Fatal(err)
+		}
+		at := root
+		for _, step := range path {
+			if i, ok := step.(int); ok {
+				at = at.([]any)[i]
+			} else {
+				at = at.(map[string]any)[step.(string)]
+			}
+		}
+		at.(map[string]any)["bogus"] = 1
+		out, err := json.Marshal(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	install := wire.FleetNetwork{Network: fleetTestNetwork(t)}
+	deploy := wire.FleetDeploy{
+		Tenant: "x", Pipeline: fleetTestPipeline(t, 5, 1), Src: 0, Dst: 9,
+		Op: string(OpMaxFrameRate), MinRateFPS: 2,
+	}
+	batch := wire.DeployBatch{Requests: []wire.FleetDeploy{deploy}}
+	type row = struct{ url, body string }
+	rows = append(rows,
+		row{"/v1/fleet/network", plant(install, "network")},
+		row{"/v1/fleet/network", plant(install, "network", "nodes", 0)},
+		row{"/v1/fleet/network", plant(install, "network", "links", 0)},
+		row{"/v1/fleet/deploy", plant(deploy, "pipeline")},
+		row{"/v1/fleet/deploy", plant(deploy, "pipeline", "modules", 1)},
+		row{"/v1/fleet/deploy-batch", plant(batch, "requests", 0, "pipeline")},
+		row{"/v1/fleet/deploy-batch", plant(batch, "requests", 0, "pipeline", "modules", 1)},
+	)
 	for _, tc := range rows {
 		resp, err := http.Post(ts.URL+tc.url, "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -259,6 +304,14 @@ func TestUnknownFieldsRejected(t *testing.T) {
 		env := decodeEnvelope(t, resp, raw)
 		if env.Error.Code != wire.CodeInvalidRequest {
 			t.Fatalf("%s: code %q", tc.url, env.Error.Code)
+		}
+	}
+	for _, tc := range []struct {
+		url string
+		v   any
+	}{{"/v1/fleet/network", install}, {"/v1/fleet/deploy", deploy}, {"/v1/fleet/deploy-batch", batch}} {
+		if resp := postJSON(t, ts.URL+tc.url, tc.v, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s without unknown fields: status %d, want 200", tc.url, resp.StatusCode)
 		}
 	}
 }

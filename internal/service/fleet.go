@@ -171,6 +171,35 @@ func toDeploymentWire(d fleet.Deployment) wire.Deployment {
 	}
 }
 
+// fleetNetworkBody and fleetDeployBody decode wire.FleetNetwork and
+// wire.FleetDeploy with the network and pipeline in their plain wire forms,
+// so unknown fields are rejected at every depth of a fleet body, as on the
+// planning routes; the shadowing field wins over the embedded one. Build
+// then validates them (model.NewNetwork, model.NewPipeline).
+type fleetNetworkBody struct {
+	wire.FleetNetwork
+	Network *model.NetworkJSON `json:"network"`
+}
+
+type fleetDeployBody struct {
+	wire.FleetDeploy
+	Pipeline *model.PipelineJSON `json:"pipeline"`
+}
+
+// deploy validates the pipeline into the wire deploy the body stands for
+// (a missing pipeline stays nil for the fleet to refuse).
+func (b *fleetDeployBody) deploy() (wire.FleetDeploy, error) {
+	q := b.FleetDeploy
+	if b.Pipeline != nil {
+		pl, err := b.Pipeline.Build()
+		if err != nil {
+			return q, err
+		}
+		q.Pipeline = pl
+	}
+	return q, nil
+}
+
 // fleetRequest converts a wire deploy body (or one deploy-batch element)
 // into the fleet's request form.
 func fleetRequest(q wire.FleetDeploy, obj model.Objective) fleet.Request {
@@ -230,7 +259,7 @@ func (s *Server) drainPreempted() {
 
 // handleFleetNetwork installs the shared fleet network.
 func (s *Server) handleFleetNetwork(w http.ResponseWriter, r *http.Request) {
-	var body wire.FleetNetwork
+	var body fleetNetworkBody
 	if err := decode(w, r, &body); err != nil {
 		writeError(w, err)
 		return
@@ -243,7 +272,12 @@ func (s *Server) handleFleetNetwork(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("shards must be non-negative, got %d", body.Shards))
 		return
 	}
-	if err := s.fleet.install(body.Network, body.Shards, s.solver.Pool(), s.journal); err != nil {
+	net, err := body.Network.Build()
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	if err := s.fleet.install(net, body.Shards, s.solver.Pool(), s.journal); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -255,7 +289,7 @@ func (s *Server) handleFleetNetwork(w http.ResponseWriter, r *http.Request) {
 		Nodes  int `json:"nodes"`
 		Links  int `json:"links"`
 		Shards int `json:"shards"`
-	}{Nodes: body.Network.N(), Links: body.Network.M(), Shards: shards})
+	}{Nodes: net.N(), Links: net.M(), Shards: shards})
 }
 
 // handleFleetDeploy admits one pipeline onto the shared network. The solve
@@ -264,8 +298,13 @@ func (s *Server) handleFleetNetwork(w http.ResponseWriter, r *http.Request) {
 // passes the intake queue: best-effort traffic over the bound is shed with
 // 429 + Retry-After before it can queue on the fleet lock.
 func (s *Server) handleFleetDeploy(w http.ResponseWriter, r *http.Request) {
-	var body wire.FleetDeploy
-	if err := decode(w, r, &body); err != nil {
+	var raw fleetDeployBody
+	if err := decode(w, r, &raw); err != nil {
+		writeError(w, err)
+		return
+	}
+	body, err := raw.deploy()
+	if err != nil {
 		writeError(w, err)
 		return
 	}
@@ -311,7 +350,9 @@ func (s *Server) handleFleetDeploy(w http.ResponseWriter, r *http.Request) {
 // items over the intake bound are shed per-item rather than failing the
 // batch.
 func (s *Server) handleFleetDeployBatch(w http.ResponseWriter, r *http.Request) {
-	var body wire.DeployBatch
+	var body struct {
+		Requests []fleetDeployBody `json:"requests"`
+	}
 	if err := decode(w, r, &body); err != nil {
 		writeError(w, err)
 		return
@@ -324,13 +365,22 @@ func (s *Server) handleFleetDeployBatch(w http.ResponseWriter, r *http.Request) 
 		writeError(w, fmt.Errorf("batch of %d exceeds limit %d", len(body.Requests), MaxBatchRequests))
 		return
 	}
+	// An invalid pipeline fails the whole batch, as a malformed body does.
+	deploys := make([]wire.FleetDeploy, len(body.Requests))
+	for i := range body.Requests {
+		var err error
+		if deploys[i], err = body.Requests[i].deploy(); err != nil {
+			writeError(w, fmt.Errorf("request %d: %w", i, err))
+			return
+		}
+	}
 
 	items := make([]wire.DeployBatchItem, len(body.Requests))
 	reqs := make([]fleet.Request, 0, len(body.Requests))
 	submit := make([]int, 0, len(body.Requests)) // original index per submitted request
 	bound := s.solver.opt.IntakeBound
 	depth := int(s.intakeDepth.Load())
-	for i, q := range body.Requests {
+	for i, q := range deploys {
 		items[i].Index = i
 		obj, err := objectiveByOp(Op(q.Op))
 		if err != nil {

@@ -105,10 +105,12 @@ func (h *healthEngine) burnLocked(window time.Duration) float64 {
 	return sum / float64(n)
 }
 
-// evaluateSLO runs one SLO evaluation against the installed fleet and
-// records it in the health engine; a no-fleet state records nothing. Called
-// after every state-changing fleet operation and by GET /v1/health.
+// evaluateSLO runs one SLO evaluation against the installed fleet, times it
+// into elpc_slo_evaluate_seconds and records it in the health engine; a
+// no-fleet state records nothing. Called after every state-changing fleet
+// operation and by GET /v1/health.
 func (s *Server) evaluateSLO() {
+	start := time.Now()
 	var rep fleet.SLOReport
 	if err := s.fleet.withFleet(func(f fleet.Manager) error {
 		rep = f.SLOReport()
@@ -116,6 +118,7 @@ func (s *Server) evaluateSLO() {
 	}); err != nil {
 		return
 	}
+	sloEvaluateSeconds.ObserveSince(start)
 	s.health.observe(rep)
 }
 

@@ -34,6 +34,9 @@ var (
 	poolWaitSeconds = telemetry.Default().Histogram(
 		"elpc_solver_pool_wait_seconds",
 		"time cold solves spent waiting for a worker slot (seconds)", nil)
+	sloEvaluateSeconds = telemetry.Default().Histogram(
+		"elpc_slo_evaluate_seconds",
+		"time one SLO health evaluation of the installed fleet took, fleet lock wait included (seconds)", nil)
 
 	// Admission intake counters: requests that entered the bounded intake
 	// queue ahead of the fleet lock, and best-effort requests shed at it.
